@@ -168,7 +168,7 @@ def bench_segment_query(rounds: int) -> dict:
     salts_l = salts.tolist()
     out["reachable_batch_reference"] = _timed(
         lambda: [
-            net.reachable_scalar(ip, vantage, t, s)
+            net.reachable(ip, vantage, t, s)
             for ip, t, s in zip(ips_l, times_l, salts_l)
         ],
         max(3, rounds // 3),

@@ -132,7 +132,8 @@ def make_label_enricher() -> Enricher:
                 labels.append("open-proxy")
             if record.get("ftp.anonymous") is True:
                 labels.append("anonymous-ftp")
-            if record.get("vnc.security_types") == ("None",):
+            # Tuple on a live record, list once decoded from JSON (WAL, cold tier).
+            if tuple(record.get("vnc.security_types") or ()) == ("None",):
                 labels.append("unauthenticated-remote-access")
             if service.get("service_name") in _ICS_NAMES:
                 labels.append("ics")

@@ -107,16 +107,12 @@ class FingerprintEngine:
         if len(names) != len(set(names)):
             raise ValueError("duplicate fingerprint rule names")
         self.rules = rules
-        self.checks = 0
-        self.hits = 0
 
     def identify(self, record: Dict[str, Any]) -> List[SoftwareMatch]:
         matches = []
         for rule in self.rules:
-            self.checks += 1
             match = rule.matches(record)
             if match is not None:
-                self.hits += 1
                 matches.append(match)
         return matches
 

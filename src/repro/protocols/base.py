@@ -16,7 +16,7 @@ engines — emerge from mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = [
     "Probe",
@@ -139,6 +139,10 @@ class ProtocolSpec:
     server_initiated: bool = False
     #: True for industrial-control protocols (Table 4 census).
     is_ics: bool = False
+    #: Reply kinds :meth:`fingerprint` can accept, or None when it reads
+    #: fields of replies of any kind (and so overrides :meth:`fingerprint`).
+    #: The detector only offers a reply to specs that declare its kind or None.
+    fingerprint_kinds: Optional[FrozenSet[str]] = None
 
     # ------------------------------------------------------------------
     # Server side
@@ -163,9 +167,11 @@ class ProtocolSpec:
     def fingerprint(self, reply: Reply) -> bool:
         """Whether ``reply``'s *observable fields* identify this protocol.
 
-        Implementations must not read ``reply.protocol``.
+        By default the reply kind alone decides, against
+        :attr:`fingerprint_kinds`.  Overrides must not read
+        ``reply.protocol``, and must reject any kind they do not declare.
         """
-        raise NotImplementedError
+        return reply.kind in self.fingerprint_kinds
 
     def handshake_probes(self, port: int) -> List[Probe]:
         """The probes a deep interrogation sends after detection."""

@@ -218,6 +218,7 @@ class AmqpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5672,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"amqp-connection-start"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["3.8.34", "3.11.23", "3.12.6"])
@@ -238,9 +239,6 @@ class AmqpSpec(ProtocolSpec):
             return silence()
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "amqp-connection-start"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("amqp-protocol-header")]
 
@@ -260,6 +258,7 @@ class CassandraSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (9042,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"cql-supported"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["3.11.13", "4.0.7", "4.1.3"])
@@ -278,9 +277,6 @@ class CassandraSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "cql-supported"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("cql-options")]

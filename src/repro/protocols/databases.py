@@ -19,6 +19,7 @@ class MysqlSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (3306, 33060)
     server_initiated = True
+    fingerprint_kinds = frozenset({"mysql-handshake", "mysql-error"})
 
     def make_profile(self, rng) -> ServerProfile:
         flavor, versions = pick(
@@ -58,7 +59,7 @@ class MysqlSpec(ProtocolSpec):
         return self._unknown_probe(profile, probe)
 
     def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("mysql-handshake", "mysql-error") and (
+        return reply.kind in self.fingerprint_kinds and (
             "server_version" in reply.fields or "error_code" in reply.fields
         )
 
@@ -81,6 +82,7 @@ class PostgresSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (5432,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"postgres-ssl-response", "postgres-auth-request"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["12.15", "14.9", "15.4", "16.0"])
@@ -103,9 +105,6 @@ class PostgresSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("postgres-ssl-response", "postgres-auth-request")
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("postgres-ssl-request"), Probe("postgres-startup")]
@@ -178,6 +177,7 @@ class MongoSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (27017, 27018)
     server_initiated = False
+    fingerprint_kinds = frozenset({"mongo-ismaster-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["4.4.22", "5.0.19", "6.0.8", "7.0.1"])
@@ -197,9 +197,6 @@ class MongoSpec(ProtocolSpec):
             return silence()
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "mongo-ismaster-response"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("mongo-ismaster")]
 
@@ -218,6 +215,7 @@ class MqttSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (1883, 8883)
     server_initiated = False
+    fingerprint_kinds = frozenset({"mqtt-connack"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["1.6.9", "2.0.15", "2.0.18"])
@@ -231,9 +229,6 @@ class MqttSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "mqtt-connack"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("mqtt-connect")]

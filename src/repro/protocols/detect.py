@@ -12,14 +12,18 @@ Given an established L4 connection, the detector:
 
 The detector identifies protocols exclusively from observable reply fields
 via :meth:`ProtocolSpec.fingerprint`; it never reads the ground-truth tag.
+Like LZR's first-packet dispatch, a reply is only offered to the specs
+whose :attr:`ProtocolSpec.fingerprint_kinds` admit its kind, kept in the
+detector's fixed order, so the cheap kind test prunes most fingerprints
+without changing which one matches first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol
+from typing import Any, Dict, List, Optional, Protocol, Tuple
 
-from repro.protocols.base import Probe, Reply
+from repro.protocols.base import Probe, ProtocolSpec, Reply
 from repro.protocols.registry import ProtocolRegistry
 
 __all__ = ["Connection", "DetectionResult", "ProtocolDetector"]
@@ -74,6 +78,9 @@ class ProtocolDetector:
         self._ordered = sorted(
             registry.specs, key=lambda spec: (spec.name == "HTTP", spec.name)
         )
+        #: reply kind -> the specs in ``_ordered`` that can accept it.  Filled
+        #: lazily; concurrent fills compute the same tuple, so no lock.
+        self._by_kind: Dict[str, Tuple[ProtocolSpec, ...]] = {}
 
     def detect(self, conn: Connection) -> DetectionResult:
         result = DetectionResult(protocol=None)
@@ -125,12 +132,24 @@ class ProtocolDetector:
                 return True
         return False
 
+    def candidates(self, kind: str) -> Tuple[ProtocolSpec, ...]:
+        """Specs whose fingerprint can accept a reply of ``kind``, in order."""
+        specs = self._by_kind.get(kind)
+        if specs is None:
+            specs = tuple(
+                spec
+                for spec in self._ordered
+                if spec.fingerprint_kinds is None or kind in spec.fingerprint_kinds
+            )
+            self._by_kind[kind] = specs
+        return specs
+
     def _note(self, reply: Reply, result: DetectionResult) -> bool:
-        """Record a reply and check it against every fingerprint."""
+        """Record a reply and check it against the fingerprints of its kind."""
         if not reply.has_data:
             return False
         result.observed.append(reply)
-        for spec in self._ordered:
+        for spec in self.candidates(reply.kind):
             if spec.fingerprint(reply):
                 result.protocol = spec.name
                 result.evidence = reply

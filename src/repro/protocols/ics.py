@@ -38,6 +38,7 @@ class IcsSpec(ProtocolSpec):
         self.transport = transport
         self._devices = list(devices)
         self._handshake_kind = f"{name.lower()}-handshake"
+        self.fingerprint_kinds = frozenset({f"{name.lower()}-identity"})
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(rng, self._devices)
@@ -65,9 +66,6 @@ class IcsSpec(ProtocolSpec):
             )
         # Binary PLC stacks ignore text-based triggers.
         return silence()
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == f"{self.name.lower()}-identity"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe(self._handshake_kind)]
@@ -98,6 +96,9 @@ class ModbusSpec(IcsSpec):
                 ("generic", "modbus_gateway", ("1.0",)),
             ],
         )
+        self.fingerprint_kinds = frozenset(
+            {"modbus-identity", "modbus-device-id-response", "modbus-exception"}
+        )
 
     def respond(self, profile: ServerProfile, probe: Probe) -> Reply:
         if probe.kind == "modbus-device-id":
@@ -114,9 +115,6 @@ class ModbusSpec(IcsSpec):
         if probe.kind == "modbus-read-coils":
             return Reply("modbus-exception", self.name, {"function": 1, "exception_code": 2})
         return super().respond(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("modbus-identity", "modbus-device-id-response", "modbus-exception")
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("modbus-handshake"), Probe("modbus-device-id")]

@@ -83,6 +83,7 @@ class DnsSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (53,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"dns-response", "dns-txt"})
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(
@@ -116,9 +117,6 @@ class DnsSpec(ProtocolSpec):
             return Reply("dns-txt", self.name, {"version_bind": attrs["version_bind"]})
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("dns-response", "dns-txt")
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("dns-query", {"qname": "example.com"}), Probe("dns-version-bind")]
 
@@ -138,6 +136,7 @@ class NtpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (123,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"ntp-response", "ntp-monlist-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["4.2.8p15", "4.2.8p17"])
@@ -152,9 +151,6 @@ class NtpSpec(ProtocolSpec):
                 return Reply("ntp-monlist-response", self.name, {"peer_count": 42})
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("ntp-response", "ntp-monlist-response")
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("ntp-version"), Probe("ntp-monlist")]
@@ -175,6 +171,7 @@ class SnmpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (161,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"snmp-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         sysdescr = pick(
@@ -196,9 +193,6 @@ class SnmpSpec(ProtocolSpec):
             return silence()
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "snmp-response"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("snmp-get", {"community": "public", "oid": "1.3.6.1.2.1.1.1.0"})]
 
@@ -216,6 +210,7 @@ class SipSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (5060, 5061)
     server_initiated = False
+    fingerprint_kinds = frozenset({"sip-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product, versions = pick(
@@ -239,9 +234,6 @@ class SipSpec(ProtocolSpec):
             )
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "sip-response"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("sip-options")]
 
@@ -259,6 +251,7 @@ class TftpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (69,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"tftp-data", "tftp-error"})
 
     def make_profile(self, rng) -> ServerProfile:
         return ServerProfile(self.name, ("generic", "tftpd", "5.2"), {"allows_read": rng.random() < 0.4})
@@ -269,9 +262,6 @@ class TftpSpec(ProtocolSpec):
                 return Reply("tftp-data", self.name, {"block": 1})
             return Reply("tftp-error", self.name, {"error_code": 1, "error": "File not found"})
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("tftp-data", "tftp-error")
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("tftp-read-request", {"filename": "remote.cfg"})]
@@ -288,6 +278,7 @@ class UpnpSpec(ProtocolSpec):
     transport = "udp"
     default_ports = (1900,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"ssdp-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         server = pick(
@@ -309,9 +300,6 @@ class UpnpSpec(ProtocolSpec):
             )
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "ssdp-response"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("ssdp-msearch")]
 
@@ -328,6 +316,7 @@ class LdapSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (389, 636)
     server_initiated = False
+    fingerprint_kinds = frozenset({"ldap-search-result"})
 
     def make_profile(self, rng) -> ServerProfile:
         vendor, product = pick(rng, [("openldap", "openldap"), ("microsoft", "active_directory")])
@@ -348,9 +337,6 @@ class LdapSpec(ProtocolSpec):
             return silence()
         return self._unknown_probe(profile, probe)
 
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "ldap-search-result"
-
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("ldap-root-dse")]
 
@@ -369,6 +355,7 @@ class SmbSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (445, 139)
     server_initiated = False
+    fingerprint_kinds = frozenset({"smb-negotiate-response"})
 
     def make_profile(self, rng) -> ServerProfile:
         dialect = pick(rng, ["2.1", "3.0", "3.1.1"])
@@ -395,9 +382,6 @@ class SmbSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "smb-negotiate-response"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("smb-negotiate")]

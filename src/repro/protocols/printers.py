@@ -81,6 +81,7 @@ class JetDirectSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (9100,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"pjl-id"})
 
     def make_profile(self, rng) -> ServerProfile:
         model = pick(rng, ["HP LASERJET 4250", "HP LASERJET M605", "HP COLOR LASERJET M553"])
@@ -98,9 +99,6 @@ class JetDirectSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "pjl-id"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("pjl-info-id")]
@@ -120,6 +118,7 @@ class LpdSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (515,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"lpd-queue"})
 
     def make_profile(self, rng) -> ServerProfile:
         queue = pick(rng, ["lp", "raw", "PASSTHRU"])
@@ -138,9 +137,6 @@ class LpdSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "lpd-queue"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("lpd-queue-state")]

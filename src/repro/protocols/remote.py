@@ -142,6 +142,7 @@ class RdpSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (3389, 3388)
     server_initiated = False
+    fingerprint_kinds = frozenset({"rdp-connect-confirm"})
 
     def make_profile(self, rng) -> ServerProfile:
         version = pick(rng, ["10.0.17763", "10.0.19041", "10.0.20348", "6.3.9600"])
@@ -167,9 +168,6 @@ class RdpSpec(ProtocolSpec):
         if probe.kind == "banner-wait":
             return silence()
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "rdp-connect-confirm"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("rdp-connect")]
@@ -234,6 +232,7 @@ class RloginSpec(ProtocolSpec):
     transport = "tcp"
     default_ports = (513,)
     server_initiated = False
+    fingerprint_kinds = frozenset({"rlogin-prompt"})
 
     def make_profile(self, rng) -> ServerProfile:
         return ServerProfile(self.name, ("bsd", "rlogind", "1.0"), {"prompt": "Password: "})
@@ -244,9 +243,6 @@ class RloginSpec(ProtocolSpec):
         if probe.kind == "generic-crlf":
             return Reply("rlogin-prompt", self.name, {"prompt": profile.attributes["prompt"]})
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "rlogin-prompt"
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("rlogin-connect")]
@@ -260,6 +256,7 @@ class X11Spec(ProtocolSpec):
     transport = "tcp"
     default_ports = (6000, 6001)
     server_initiated = False
+    fingerprint_kinds = frozenset({"x11-setup-success", "x11-setup-failed"})
 
     def make_profile(self, rng) -> ServerProfile:
         release = pick(rng, ["11.0", "12101004"])
@@ -281,9 +278,6 @@ class X11Spec(ProtocolSpec):
                 )
             return Reply("x11-setup-failed", self.name, {"reason": "Authorization required"})
         return self._unknown_probe(profile, probe)
-
-    def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind in ("x11-setup-success", "x11-setup-failed")
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("x11-setup")]

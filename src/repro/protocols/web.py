@@ -216,6 +216,7 @@ class HttpSpec(ProtocolSpec):
     name = "HTTP"
     transport = "tcp"
     default_ports = (80, 8080, 8000, 8888, 81, 8081, 591, 7547, 2082, 60000)
+    fingerprint_kinds = frozenset({"http-response"})
     server_initiated = False
 
     def make_profile(self, rng) -> ServerProfile:
@@ -276,7 +277,7 @@ class HttpSpec(ProtocolSpec):
         return page
 
     def fingerprint(self, reply: Reply) -> bool:
-        return reply.kind == "http-response" and "status" in reply.fields
+        return reply.kind in self.fingerprint_kinds and "status" in reply.fields
 
     def handshake_probes(self, port: int) -> List[Probe]:
         return [Probe("http-get", {"path": "/"})]

@@ -19,12 +19,13 @@ endpoint (position, lifetime window, network ordinal, reachability salt) —
 regular instances in one block, all pseudo-host (ip, port) rows merged into
 a second — so a segment query is a pair of binary searches per block plus
 whole-array liveness/reachability masks, with ``ProbeHit`` objects
-materialized only for survivors.  Reachability draws run through the
-vectorized splitmix64 kernel in :mod:`repro.net.mixvec`.  The scalar
-per-element paths are retained (:meth:`PreparedScanIndex.query_reference`,
-:meth:`SimulatedInternet.reachable_scalar`) as references;
-``benchmarks/test_perf_regression.py`` holds the two equal on seeded
-inputs.
+materialized only for survivors.  Batched reachability draws run through
+the vectorized splitmix64 kernel in :mod:`repro.net.mixvec`; a single
+connect takes the pure-Python :meth:`SimulatedInternet.reachable`, which
+is also the reference the kernel is held equal to.  The per-element
+segment query is retained (:meth:`PreparedScanIndex.query_reference`) as a
+reference; ``benchmarks/test_perf_regression.py`` holds both pairs equal
+on seeded inputs.
 
 Honeypot contacts are logged with the observing engine's identity, feeding
 the Table 5 time-to-discovery experiment.
@@ -417,7 +418,7 @@ class PreparedScanIndex:
                 probe_time = t0 + offset_of(int(cols.positions[i])) / rate
                 if not inst.alive_at(probe_time):
                     continue
-                if not internet.reachable_scalar(inst.ip_index, vantage, probe_time, salt=inst.instance_id):
+                if not internet.reachable(inst.ip_index, vantage, probe_time, salt=inst.instance_id):
                     continue
                 hits.append(ProbeHit(ProbeTarget(inst.ip_index, inst.port), probe_time, instance=inst))
                 if inst.is_honeypot and log_contacts:
@@ -434,7 +435,7 @@ class PreparedScanIndex:
                     probe_time = t0 + offset_of(int(pseudo_cols.positions[j])) / rate
                     if not pseudo.alive_at(probe_time):
                         continue
-                    if not internet.reachable_scalar(
+                    if not internet.reachable(
                         pseudo.ip_index, vantage, probe_time, salt=-pseudo.pseudo_id - 1
                     ):
                         continue
@@ -721,11 +722,11 @@ class SimulatedInternet:
         return self._reachable_kernel(net_ords, np.atleast_1d(salts_u), vantage, times_arr)
 
     def reachable(self, ip_index: int, vantage: Vantage, t: float, salt: int = 0) -> bool:
-        """Whether a probe from ``vantage`` reaches ``ip_index`` at ``t``."""
-        return bool(self.reachable_many([ip_index], vantage, [t], [salt])[0])
+        """Whether a probe from ``vantage`` reaches ``ip_index`` at ``t``.
 
-    def reachable_scalar(self, ip_index: int, vantage: Vantage, t: float, salt: int = 0) -> bool:
-        """Retained pure-Python reference for the vectorized kernel."""
+        The scalar form of :meth:`_reachable_kernel`, drawing the same
+        geoblock, weekly routing-block and 6-hour loss values.
+        """
         network = self.topology.network_of(ip_index)
         if vantage.region in network.blocked_regions:
             return False
@@ -733,6 +734,8 @@ class SimulatedInternet:
         block_draw = _mix64(self.seed ^ network.network_id * 0x9E37 ^ vantage.vantage_id * 0x79B9 ^ week)
         if (block_draw % 10_000) < self.ROUTING_BLOCK_RATE * 10_000:
             return False
+        if vantage.loss_rate <= 0.0:
+            return True  # threshold 0: every loss draw passes
         window = int(t // 6.0)  # transient loss re-rolls every 6 hours
         loss_draw = _mix64(self.seed ^ salt * 0xC2B2 ^ vantage.vantage_id * 0x85EB ^ window)
         return (loss_draw % 10_000) >= vantage.loss_rate * 10_000

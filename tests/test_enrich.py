@@ -253,3 +253,36 @@ class TestEnricherChain:
         assert service["software"]["product"] == "moveit_transfer"
         assert any(v["cve_id"] == "CVE-2023-34362" for v in service["vulnerabilities"])
         assert "CVE-2023-34362" in view["derived"]["cve_ids"]
+
+    def test_vnc_label_survives_wal_recovery_and_compaction(self, tmp_path):
+        """JSON round-trips tuples to lists; the label must not depend on it."""
+        from repro.enrich import make_label_enricher
+        from repro.pipeline import EventJournal, ReadSide, ScanObservation, SegmentCompactor
+        from repro.pipeline import WriteAheadLog, WriteSideProcessor
+        from repro.protocols.interrogate import InterrogationResult
+
+        wal_dir = str(tmp_path / "wal")
+        journal = EventJournal(snapshot_every=4, wal=WriteAheadLog(wal_dir, segment_max_records=4))
+        write = WriteSideProcessor(journal)
+        vnc = InterrogationResult(
+            port=5900, transport="tcp", success=True, protocol="VNC",
+            record={"vnc.protocol_version": "RFB 003.008", "vnc.security_types": ("None",)},
+        )
+        for i in range(12):
+            write.process(ScanObservation("host:10.0.0.1", float(i), 5900, "tcp", vnc))
+        # Enough sealed segments for the fold to move the early history cold.
+        compactor = SegmentCompactor(journal, wal_dir, min_sealed_segments=1)
+        assert compactor.run_once()
+
+        def labels(source, at=None):
+            view = ReadSide(source, [make_label_enricher()]).lookup("host:10.0.0.1", at=at)
+            return view["derived"].get("labels")
+
+        live = labels(journal)
+        assert live == ["unauthenticated-remote-access"]
+        assert labels(journal, at=0.5) == live  # served from the folded cold tier
+        journal.close()
+        recovered = EventJournal.recover(wal_dir, snapshot_every=4, segment_max_records=4)
+        assert labels(recovered) == live
+        assert labels(recovered, at=0.5) == live
+        recovered.close()

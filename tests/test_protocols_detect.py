@@ -1,7 +1,8 @@
 """Tests for LZR-style detection and interrogation over fake connections."""
 
+import dataclasses
 import random
-from typing import Optional
+from typing import List, Optional
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.protocols import (
     TlsEndpointProfile,
     default_registry,
 )
-from repro.protocols.base import ServerProfile, reset, silence
+from repro.protocols.base import COMMON_PROBE_KINDS, ServerProfile, reset, silence
 from repro.protocols.tlslayer import make_ja4s, tls_server_hello
 
 REGISTRY = default_registry()
@@ -230,3 +231,57 @@ class TestDetectionMatrix:
         conn = FakeConnection(profile, port=48555, transport=spec.transport)
         result = detector.detect(conn)
         assert result.protocol == spec.name
+
+
+def _all_probes() -> List[Probe]:
+    """Every generic trigger plus every spec's handshake, on its own ports."""
+    probes = [Probe(kind) for kind in COMMON_PROBE_KINDS]
+    probes += list(ProtocolDetector.COMMON_TRIGGERS)
+    for spec in REGISTRY.specs:
+        for port in tuple(spec.default_ports) or (0,):
+            probes += spec.handshake_probes(port)
+    return probes
+
+
+def _reply_corpus(seeds=range(6)) -> List[Reply]:
+    """Replies every spec's profiles give to every probe, plain and in TLS."""
+    probes = _all_probes()
+    replies: List[Reply] = [tls_server_hello(make_tls()), Reply("banner", "PSEUDO", {"banner": "x"})]
+    for spec in REGISTRY.specs:
+        for seed in seeds:
+            plain = dataclasses.replace(spec.make_profile(random.Random(seed)), tls=None)
+            wrapped = dataclasses.replace(plain, tls=make_tls())
+            for profile in (plain, wrapped):
+                conn = FakeConnection(profile, port=0, transport=spec.transport)
+                replies += [conn.send(probe) for probe in probes]
+                if conn.start_tls() is not None:
+                    replies += [conn.send(probe) for probe in probes]
+    return [reply for reply in replies if reply.has_data]
+
+
+class TestKindDispatch:
+    """The kind-indexed candidate scan is an exact stand-in for trying every
+    fingerprint in the detector's order."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return _reply_corpus()
+
+    def test_candidate_scan_matches_linear_scan(self, corpus):
+        detector = ProtocolDetector(REGISTRY)
+        kinds = set()
+        for reply in corpus:
+            kinds.add(reply.kind)
+            linear = next((s.name for s in detector._ordered if s.fingerprint(reply)), None)
+            indexed = next((s.name for s in detector.candidates(reply.kind) if s.fingerprint(reply)), None)
+            assert indexed == linear, (reply.kind, reply.protocol, indexed, linear)
+        # The corpus exercises the index broadly, not just a few kinds.
+        assert len(kinds) > len(REGISTRY) and len(corpus) > 1000
+
+    def test_declared_kinds_bound_the_fingerprint(self, corpus):
+        declared = [s for s in REGISTRY.specs if s.fingerprint_kinds is not None]
+        assert len(declared) > len(REGISTRY) // 2
+        for reply in corpus:
+            for spec in declared:
+                if spec.fingerprint(reply):
+                    assert reply.kind in spec.fingerprint_kinds, (spec.name, reply.kind)

@@ -1,13 +1,14 @@
-"""Vectorized hot-path kernels vs. their retained scalar references.
+"""Vectorized hot-path kernels vs. their scalar references.
 
 The batched engine (mixvec, ``reachable_many``, columnar segment queries,
 the interval liveness index, accelerated search) must be *bit-identical*
-to the per-element reference implementations — same seeds, same tables.
-These tests pin the equivalences at unit scale; the heavier seeded-grid
-gates live in ``benchmarks/test_perf_regression.py``.
+to the per-element implementations — same seeds, same tables.  For
+reachability the reference is the production singleton path,
+``SimulatedInternet.reachable``.  These tests pin the equivalences at unit
+scale; the heavier seeded-grid gates live in
+``benchmarks/test_perf_regression.py``.
 """
 
-import math
 import random
 
 import numpy as np
@@ -75,8 +76,8 @@ class TestModRanges:
 
 class TestReachableMany:
     def test_matches_scalar_over_seeded_grid(self, net):
-        """Vectorized reachability == scalar reference on a (vantage, time,
-        salt) grid, including negative pseudo-host salts."""
+        """Vectorized reachability == the scalar ``reachable`` on a
+        (vantage, time, salt) grid, including negative pseudo-host salts."""
         rng = np.random.default_rng(99)
         n = 400
         ips = rng.integers(0, net.space.size, n)
@@ -84,12 +85,12 @@ class TestReachableMany:
         salts = rng.integers(-(2**40), 2**40, n)
         for vantage in VANTAGES:
             batched = net.reachable_many(ips, vantage, times, salts)
-            for i in range(n):
-                scalar = net.reachable_scalar(
-                    int(ips[i]), vantage, float(times[i]), int(salts[i])
-                )
-                assert bool(batched[i]) == scalar
-                assert net.reachable(int(ips[i]), vantage, float(times[i]), int(salts[i])) == scalar
+            scalar = [
+                net.reachable(int(ips[i]), vantage, float(times[i]), int(salts[i])) for i in range(n)
+            ]
+            assert batched.tolist() == scalar, vantage.name
+            # The grid must exercise both outcomes, or equality proves little.
+            assert any(scalar) and not all(scalar), vantage.name
 
     def test_week_boundary_crossing_uses_vector_path(self, net):
         """Times straddling a routing week must agree with the scalar path
@@ -100,11 +101,11 @@ class TestReachableMany:
         vantage = VANTAGES[0]
         batched = net.reachable_many(ips, vantage, times, [1, 2, 3, 4])
         for ip, t, salt, got in zip(ips, times, [1, 2, 3, 4], batched):
-            assert bool(got) == net.reachable_scalar(ip, vantage, t, salt)
+            assert bool(got) == net.reachable(ip, vantage, t, salt)
 
     def test_scalar_inputs_broadcast(self, net):
         assert bool(net.reachable_many(3, VANTAGES[0], 12.0, 7).reshape(()).item()) == (
-            net.reachable_scalar(3, VANTAGES[0], 12.0, 7)
+            net.reachable(3, VANTAGES[0], 12.0, 7)
         )
 
 

@@ -19,15 +19,15 @@ Three suites, selected with ``--suite``:
   plus timed ``kill_primary()`` → ``fail_over()`` promotions over lossy
   links with the replayed tail size and a zero-acked-write-loss check on
   every promotion → ``benchmarks/results/BENCH_replication.json``.
-* ``load`` — the closed-loop load generator for the parallel shard
-  execution tier: N concurrent client threads replay seeded Zipfian
-  query schedules against three identically-built 4-shard platforms,
-  one per executor backend (serial / thread / process), with the
-  executors' simulated per-shard RPC latency turned on so the scatter
-  cost has the distributed system's wall-clock shape →
+* ``load`` — the closed-loop load generator for the shard execution
+  tier: N concurrent client threads replay seeded Zipfian query
+  schedules against two identically-built 4-shard platforms, one per
+  executor backend (serial / thread).  Every timed op is real
+  computation — no modeled shard latency →
   ``benchmarks/results/BENCH_load.json`` with p50/p95/p99 latency and
-  aggregate throughput per offered load, plus speedups vs the serial
-  backend.  Cross-backend answer equality is asserted before timing.
+  aggregate throughput per offered load, plus the thread backend's
+  throughput ratio vs serial.  Cross-backend answer equality is asserted
+  before timing.
 * ``standing`` — the standing-query tier: a scale sweep registering
   10k / 30k / 100k subscriptions (anchored vocabulary sized so the
   per-event match count stays fixed) against one synthetic document
@@ -40,10 +40,11 @@ Three suites, selected with ``--suite``:
 * ``ingest`` — the ingest fast path: a fixed synthetic observation
   stream into a durable sharded journal across a grid of batch sizes
   (1 / 16 / 64 / 256, single shard, group-commit window matched to the
-  batch) and shard counts (2 / 4 at batch 256, all three executor
-  backends) → ``benchmarks/results/BENCH_ingest.json`` with per-config
-  throughput, fsync counts, and speedups vs the per-event single-shard
-  baseline (the headline: >= 5x at batch 256, asserted in-bench).
+  batch) and shard counts (2 / 4 at batch 256, both executor backends)
+  → ``benchmarks/results/BENCH_ingest.json`` with per-config throughput,
+  fsync counts, speedups vs the per-event single-shard baseline (the
+  headline: >= 5x at batch 256, asserted in-bench), and whether the
+  sharded configurations beat single-shard batch 256 on this box.
   Equality gates run before any timing: every configuration must match
   the per-event reference's logical journal digest and WriteStats, and
   an ack-point copy of each WAL directory must cold-recover to the same
@@ -62,12 +63,14 @@ Three suites, selected with ``--suite``:
 The equality of every cached/uncached and vectorized/reference pair is
 asserted separately by ``benchmarks/test_perf_regression.py``; this
 harness only measures (the load suite's inline digest check aside).
+Every emitted JSON carries the same header: ``commit``, ``generated``,
+``cpu_count``, ``python`` and ``numpy``.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/perf_harness.py [--rounds N]
     PYTHONPATH=src python benchmarks/perf_harness.py --suite serving [--ops-scale S]
-    PYTHONPATH=src python benchmarks/perf_harness.py --suite load [--workers W]
+    PYTHONPATH=src python benchmarks/perf_harness.py --suite load [--workers W] [--ops-scale S]
 
 Pass ``--out`` (CI smoke) to write somewhere other than the committed
 ``benchmarks/results/`` artifacts.  The micro configuration matches
@@ -82,6 +85,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import random
 import statistics
 import subprocess
@@ -350,7 +354,7 @@ def bench_serving(ops_scale: float = 1.0, seed: int = 11) -> dict:
 
 # -- the closed-loop load benchmark -----------------------------------------
 
-LOAD_BACKENDS = ("serial", "thread", "process")
+LOAD_BACKENDS = ("serial", "thread")
 LOAD_CLIENT_LEVELS = (1, 2, 4, 8)
 #: Op mix per client (cumulative probabilities over a uniform draw).
 LOAD_MIX = (("lookup", 0.20), ("search", 0.65), ("count", 0.80), ("aggregate", 1.0))
@@ -368,25 +372,16 @@ def _load_stats(samples: list, wall_s: float) -> dict:
     }
 
 
-def bench_load(
-    ops_scale: float = 1.0,
-    seed: int = 11,
-    workers: int = 4,
-    shard_latency_ms: float = 2.0,
-) -> dict:
+def bench_load(ops_scale: float = 1.0, seed: int = 11, workers: int = 4) -> dict:
     """Closed-loop multi-client load vs executor backend (serial baseline).
 
     One 4-shard platform per backend, built and warmed identically; the
-    query cache is disabled so every query actually scatters.  The
-    executors model the per-shard RPC hop (``shard_latency_ms``): the
-    serial backend pays ``shards x hop`` per scatter while the parallel
-    backends overlap the hops — the wall-clock shape of the paper's
-    gateway → shard fan-out, measurable even on a single-core host
-    because the modeled hop releases the GIL.  Every backend must answer
-    a full query digest identically before any timing runs.
+    query cache is disabled so every query actually scatters.  Shards run
+    in this process, so the numbers are compute-only: the thread backend
+    can only win where shard work releases the GIL.  Every backend must
+    answer a full query digest identically before any timing runs.
     """
     from repro.core import CensysPlatform, PlatformConfig
-    from repro.pipeline import make_executor
 
     shards = 4
 
@@ -398,12 +393,11 @@ def bench_load(
             ),
             seed=seed,
         )
-        executor = make_executor(backend, workers=workers, latency_ms=shard_latency_ms)
         plat = CensysPlatform(
             net,
             PlatformConfig(
                 predictive_daily_budget=300, seed=seed, shards=shards,
-                query_cache_entries=0, executor=executor,
+                query_cache_entries=0, executor=backend, executor_workers=workers,
             ),
             start_time=-6 * DAY,
         )
@@ -415,8 +409,7 @@ def bench_load(
     host_weights = _zipf_weights(len(hosts))
     query_weights = _zipf_weights(len(SERVING_QUERIES))
 
-    # Answer equality across backends, gated before any timing (and, as a
-    # side effect, warming the process backend's shard replicas).
+    # Answer equality across backends, gated before any timing.
     def digest(plat: CensysPlatform) -> dict:
         return {
             "search": {q: plat.search(q, limit=10) for q in SERVING_QUERIES},
@@ -433,7 +426,9 @@ def bench_load(
         if digest(platforms[backend]) != reference:  # pragma: no cover - the gate
             raise SystemExit(f"{backend} backend diverged from the serial reference")
 
-    ops_per_client = max(15, int(120 * ops_scale))
+    # Compute-only ops take ~0.1 ms, so each level needs ~1k ops per client
+    # for its wall time to rise well above timer and scheduler noise.
+    ops_per_client = max(15, int(1200 * ops_scale))
 
     def client_schedule(plat: CensysPlatform, client_id: int) -> list:
         """Deterministic per-client op list — identical for every backend."""
@@ -515,8 +510,6 @@ def bench_load(
             "ops_scale": ops_scale, "ops_per_client": ops_per_client,
             "client_levels": list(LOAD_CLIENT_LEVELS),
             "op_mix": {name: ceiling for name, ceiling in LOAD_MIX},
-            "shard_latency_ms": shard_latency_ms,
-            "cpus": os.cpu_count(),
             "equality_checked": True,
         },
         "backends": backends_out,
@@ -750,12 +743,12 @@ def bench_compaction(ops_scale: float = 1.0, seed: int = 11) -> dict:
         plain = EventJournal(
             snapshot_every=snapshot_every,
             wal=WriteAheadLog(plain_dir, segment_max_records=segment_max_records,
-                              fsync_every=64),
+                              group_commit_events=64),
         )
         compacted = EventJournal(
             snapshot_every=snapshot_every,
             wal=WriteAheadLog(compact_dir, segment_max_records=segment_max_records,
-                              fsync_every=64),
+                              group_commit_events=64),
         )
         compactor = SegmentCompactor(compacted, compact_dir, min_sealed_segments=2)
 
@@ -1154,9 +1147,9 @@ def bench_ingest(ops_scale: float = 1.0, seed: int = 11) -> dict:
     * the **batch axis** — single shard, batch size 1 / 16 / 64 / 256,
       group-commit window matched to the batch (the headline: >= 5x the
       per-event single-shard baseline at batch 256);
-    * the **shard axis** — batch 256 at 2 and 4 shards across the three
-      executor backends (the process backend runs ingest closures through
-      its in-process fallback, so it times like the thread backend).
+    * the **shard axis** — batch 256 at 2 and 4 shards on both executor
+      backends; ``sharding_on_one_box`` records whether any of them beats
+      single-shard batch 256 here.
 
     Equality gates run before any timing and abort the bench on
     divergence: every configuration must produce the same logical journal
@@ -1279,10 +1272,10 @@ def bench_ingest(ops_scale: float = 1.0, seed: int = 11) -> dict:
     for batch in (16, 64, 256):
         grid.append((f"batch_{batch}", batch, 1, "serial", batch))
     for shards in (2, 4):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "thread"):
             grid.append((f"shards_{shards}_{backend}", 256, shards, backend, 256))
 
-    executors = {name: make_executor(name) for name in ("serial", "thread", "process")}
+    executors = {name: make_executor(name) for name in ("serial", "thread")}
 
     # -- equality gates (abort before timing on any divergence) ------------
     reference_digest = None
@@ -1359,6 +1352,11 @@ def bench_ingest(ops_scale: float = 1.0, seed: int = 11) -> dict:
             f"ingest bench: batch-256 speedup {speedups['batch_256']}x "
             "is below the 5x single-shard target at full scale"
         )
+    single = out["batch_256"]["events_per_s"]
+    sharded = {
+        name: cfg["events_per_s"] for name, cfg in out.items() if name.startswith("shards_")
+    }
+    below = sorted(name for name, eps in sharded.items() if eps < single)
     return {
         "config": {"observations": n_obs, "seed": seed, "ops_scale": ops_scale},
         "gates": {
@@ -1375,6 +1373,14 @@ def bench_ingest(ops_scale: float = 1.0, seed: int = 11) -> dict:
         },
         "configurations": out,
         "speedups_vs_per_event": speedups,
+        # All shards share one process and one disk here, so a shard buys
+        # isolation, not ingest throughput: compare against one shard.
+        "sharding_on_one_box": {
+            "below_batch_256": below,
+            "serial_shards_below_batch_256": all(
+                sharded[name] < single for name in sharded if name.endswith("_serial")
+            ),
+        },
     }
 
 
@@ -1388,13 +1394,100 @@ def _git_commit() -> str:
         return ""
 
 
+def bench_micro(rounds: int) -> dict:
+    """Every vectorized hot path against its retained reference."""
+    results = {"segment": bench_segment_query(rounds), "search": bench_search(rounds)}
+    benches = {}
+    populations = {}
+    for group in results.values():
+        populations.update(group.pop("_population"))
+        benches.update(group)
+    speedups = {}
+    for name, stats in benches.items():
+        ref = benches.get(f"{name}_reference")
+        if ref is not None and not name.endswith("_reference"):
+            speedups[name] = round(ref["median_ms"] / stats["median_ms"], 2)
+    return {
+        "config": {"bits": 14, "seed": 71, "services_target": 1500, "rounds": rounds},
+        "populations": populations,
+        "benchmarks": benches,
+        "speedups_vs_reference": speedups,
+    }
+
+
+#: suite -> (run(args) -> result dict, committed artifact, summary(result)).
+SUITES = {
+    "micro": (
+        lambda a: bench_micro(a.rounds),
+        "BENCH_micro.json",
+        lambda r: r["speedups_vs_reference"],
+    ),
+    "serving": (
+        lambda a: bench_serving(ops_scale=a.ops_scale, seed=a.seed),
+        "BENCH_serving.json",
+        lambda r: {name: seg["speedup_p50"] for name, seg in r["segments"].items()},
+    ),
+    "load": (
+        lambda a: bench_load(ops_scale=a.ops_scale, seed=a.seed, workers=a.workers),
+        "BENCH_load.json",
+        lambda r: r["speedups_vs_serial"],
+    ),
+    "replication": (
+        lambda a: bench_replication(ops_scale=a.ops_scale, seed=a.seed),
+        "BENCH_replication.json",
+        lambda r: {
+            "overhead_vs_factor_0": r["overhead_vs_factor_0"],
+            "promote_median_ms": r["failover"]["promote_median_ms"],
+        },
+    ),
+    "compaction": (
+        lambda a: bench_compaction(ops_scale=a.ops_scale, seed=a.seed),
+        "BENCH_compaction.json",
+        lambda r: {
+            "recovery_speedup": r["recovery"]["speedup"],
+            "resident_plain_final": r["memory"]["plain_final"],
+            "resident_compacted_peak": r["memory"]["compacted_peak"],
+            "gates": r["gates"],
+        },
+    ),
+    "standing": (
+        lambda a: bench_standing(ops_scale=a.ops_scale, seed=a.seed),
+        "BENCH_standing.json",
+        lambda r: {
+            "sublinear": r["sublinear"],
+            "delivery_retransmit_ratio": r["delivery"]["retransmit_ratio"],
+            "platform_ingest_overhead": r["platform"]["ingest_overhead"],
+        },
+    ),
+    "ingest": (
+        lambda a: bench_ingest(ops_scale=a.ops_scale, seed=a.seed),
+        "BENCH_ingest.json",
+        lambda r: {
+            "speedups_vs_per_event": r["speedups_vs_per_event"],
+            "sharding_on_one_box": r["sharding_on_one_box"],
+        },
+    ),
+}
+
+
+def write_result(result: dict, out_path: Path) -> dict:
+    """Stamp a suite's result with the shared header and write it as JSON."""
+    payload = {
+        "commit": _git_commit(),
+        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        **result,
+    }
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--suite",
-        choices=["micro", "serving", "load", "replication", "compaction", "standing", "ingest"],
-        default="micro",
-    )
+    parser.add_argument("--suite", choices=list(SUITES), default="micro")
     parser.add_argument("--rounds", type=int, default=30, help="micro: timing samples per path")
     parser.add_argument(
         "--ops-scale", type=float, default=1.0,
@@ -1406,11 +1499,7 @@ def main() -> None:
     )
     parser.add_argument(
         "--workers", type=int, default=4,
-        help="load: worker count for the thread/process executor backends",
-    )
-    parser.add_argument(
-        "--shard-latency-ms", type=float, default=2.0,
-        help="load: simulated per-shard RPC hop (the executors' latency model)",
+        help="load: worker count for the thread executor backend",
     )
     parser.add_argument(
         "--out", type=Path, default=None,
@@ -1419,155 +1508,10 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    if args.suite == "ingest":
-        ingest = bench_ingest(ops_scale=args.ops_scale, seed=args.seed)
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **ingest,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_ingest.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(payload["speedups_vs_per_event"], indent=2))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "standing":
-        standing = bench_standing(ops_scale=args.ops_scale, seed=args.seed)
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **standing,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_standing.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(
-            {
-                "sublinear": payload["sublinear"],
-                "delivery_retransmit_ratio": payload["delivery"]["retransmit_ratio"],
-                "platform_ingest_overhead": payload["platform"]["ingest_overhead"],
-            },
-            indent=2,
-        ))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "compaction":
-        compaction = bench_compaction(ops_scale=args.ops_scale, seed=args.seed)
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **compaction,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_compaction.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(
-            {
-                "recovery_speedup": payload["recovery"]["speedup"],
-                "resident_plain_final": payload["memory"]["plain_final"],
-                "resident_compacted_peak": payload["memory"]["compacted_peak"],
-                "gates": payload["gates"],
-            },
-            indent=2,
-        ))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "replication":
-        replication = bench_replication(ops_scale=args.ops_scale, seed=args.seed)
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **replication,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_replication.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(
-            {
-                "overhead_vs_factor_0": payload["overhead_vs_factor_0"],
-                "promote_median_ms": payload["failover"]["promote_median_ms"],
-            },
-            indent=2,
-        ))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "load":
-        load = bench_load(
-            ops_scale=args.ops_scale, seed=args.seed, workers=args.workers,
-            shard_latency_ms=args.shard_latency_ms,
-        )
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **load,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_load.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(payload["speedups_vs_serial"], indent=2))
-        print(f"wrote {out_path}")
-        return
-
-    if args.suite == "serving":
-        serving = bench_serving(ops_scale=args.ops_scale, seed=args.seed)
-        payload = {
-            "commit": _git_commit(),
-            "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            **serving,
-        }
-        out_path = args.out
-        if out_path is None:
-            RESULTS.mkdir(exist_ok=True)
-            out_path = RESULTS / "BENCH_serving.json"
-        out_path.write_text(json.dumps(payload, indent=2) + "\n")
-        print(json.dumps(
-            {name: seg["speedup_p50"] for name, seg in payload["segments"].items()}, indent=2
-        ))
-        print(f"wrote {out_path}")
-        return
-
-    results = {"segment": bench_segment_query(args.rounds), "search": bench_search(args.rounds)}
-
-    benches = {}
-    populations = {}
-    for group in results.values():
-        populations.update(group.pop("_population"))
-        benches.update(group)
-    speedups = {}
-    for name, stats in benches.items():
-        ref = benches.get(f"{name}_reference")
-        if ref is not None and not name.endswith("_reference"):
-            speedups[name] = round(ref["median_ms"] / stats["median_ms"], 2)
-
-    payload = {
-        "commit": _git_commit(),
-        "generated": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "config": {"bits": 14, "seed": 71, "services_target": 1500, "rounds": args.rounds},
-        "populations": populations,
-        "benchmarks": benches,
-        "speedups_vs_reference": speedups,
-    }
-    out_path = args.out
-    if out_path is None:
-        RESULTS.mkdir(exist_ok=True)
-        out_path = RESULTS / "BENCH_micro.json"
-    out_path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(json.dumps(payload["speedups_vs_reference"], indent=2))
+    run, artifact, summary = SUITES[args.suite]
+    out_path = args.out or RESULTS / artifact
+    result = write_result(run(args), out_path)
+    print(json.dumps(summary(result), indent=2))
     print(f"wrote {out_path}")
 
 

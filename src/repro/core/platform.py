@@ -112,10 +112,10 @@ class PlatformConfig:
     reconstruction_cache_entries: int = 4096
     view_cache_entries: int = 4096
     query_cache_entries: int = 256
-    #: Per-shard fan-out backend: "serial" (the bit-identical reference),
-    #: "thread", "process", or a ShardExecutor instance.
-    executor: Any = "serial"
-    #: Worker count for pooled executors (None = backend default).
+    #: Per-shard fan-out backend: "serial" (the bit-identical reference)
+    #: or "thread" (an in-process pool; answers are identical).
+    executor: str = "serial"
+    #: Worker count for the thread executor (None = backend default).
     executor_workers: Optional[int] = None
     #: Replica journals per shard (0 = no replication: the pre-replication
     #: platform, bit-identical).  Requires ``wal_dir`` — replication ships
@@ -205,6 +205,8 @@ class CensysPlatform:
                 serve_reads=cfg.replica_reads,
                 max_lag_events=cfg.replica_max_lag_events,
                 executor=self.executor,
+                group_commit_events=cfg.group_commit_events,
+                group_commit_bytes=cfg.group_commit_bytes,
             )
         self.compactor = None
         if cfg.compaction:
@@ -545,8 +547,8 @@ class CensysPlatform:
 
         Idempotent; safe to call while reads are in flight (the journal's
         close-once guard serialises against them).  Required for platforms
-        built with ``executor="thread"``/``"process"`` so worker threads
-        and processes do not outlive the platform.
+        built with ``executor="thread"`` so pool threads do not outlive
+        the platform.
         """
         if self.replication is not None:
             self.replication.close()

@@ -224,16 +224,6 @@ class ColdStore:
         self._cache_max = 64
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        state["_cache"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
     @property
     def through_segment(self) -> int:
         return self.manifest["through_segment"]

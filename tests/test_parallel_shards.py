@@ -1,11 +1,10 @@
-"""The parallel shard execution tier (PR 6).
+"""The parallel shard execution tier.
 
-Pins the tentpole contract: every executor backend — serial, thread,
-process — produces **bit-identical** results for scatter-gather queries,
-WAL recovery, and the batch serving paths, for shard counts 1, 2, and 4.
-Plus the concurrency satellites: thread-safe versioned caches with
-contention accounting, idempotent close, nested-fan-out inlining, and
-the process backend's replica shipping / unpicklable-work fallback.
+Pins the contract: both executor backends — serial and thread — produce
+**bit-identical** results for scatter-gather queries, WAL recovery, and
+the batch serving paths, for shard counts 1, 2, and 4.  Plus the
+concurrency satellites: thread-safe versioned caches with contention
+accounting, idempotent close, and nested-fan-out inlining.
 """
 
 from __future__ import annotations
@@ -17,10 +16,8 @@ import pytest
 from repro.core.platform import CensysPlatform, PlatformConfig
 from repro.pipeline import (
     EventKind,
-    ProcessShardExecutor,
     SerialExecutor,
     ShardMap,
-    ShardTaskError,
     ShardedJournal,
     ThreadShardExecutor,
     VersionedLRU,
@@ -31,7 +28,7 @@ from repro.search import ShardedSearchIndex
 from repro.simnet import DAY, WorkloadConfig, build_simnet
 
 SHARD_COUNTS = (1, 2, 4)
-BACKENDS = ("thread", "process")
+BACKENDS = ("thread",)
 
 QUERIES = (
     "services.service_name: HTTP",
@@ -72,7 +69,7 @@ def query_digest(index):
     }
 
 
-# -- module-level work units (picklable for the process backend) ------------
+# -- work units -------------------------------------------------------------
 
 def _double(x):
     return x * 2
@@ -88,13 +85,17 @@ class TestExecutorBasics:
         assert make_executor("serial").kind == "serial"
         thread = make_executor("thread", workers=2)
         assert thread.kind == "thread" and thread.workers == 2
-        proc = make_executor("process")
-        assert proc.kind == "process" and proc.workers == 4
-        proc.close()
-        existing = SerialExecutor()
-        assert make_executor(existing) is existing
-        with pytest.raises(ValueError):
-            make_executor("gpu")
+        assert make_executor("thread").workers == 4
+        for unknown in ("process", "gpu"):
+            with pytest.raises(ValueError, match=r"serial \| thread"):
+                make_executor(unknown)
+
+    def test_platform_rejects_unknown_executor(self):
+        net = build_simnet(
+            bits=8, workload_config=WorkloadConfig(seed=3, services_target=10), seed=3
+        )
+        with pytest.raises(ValueError, match=r"serial \| thread"):
+            CensysPlatform(net, PlatformConfig(executor="process"))
 
     @pytest.mark.parametrize("backend", ("serial",) + BACKENDS)
     def test_map_shards_order_and_stats(self, backend):
@@ -113,20 +114,10 @@ class TestExecutorBasics:
     def test_task_errors_propagate(self, backend):
         ex = make_executor(backend, workers=2)
         try:
-            with pytest.raises((ShardTaskError, ValueError)):
+            with pytest.raises(ValueError, match="boom"):
                 ex.map_shards(_boom, [(1,), (2,), (3,)])
-            # The pipes stay synchronized: the next scatter still works.
+            # A failed scatter leaves the pool usable.
             assert ex.map_shards(_double, [(4,), (5,)]) == [8, 10]
-        finally:
-            ex.close()
-
-    def test_process_unpicklable_falls_back_to_threads(self):
-        ex = ProcessShardExecutor(workers=2)
-        try:
-            state = {"base": 10}
-            out = ex.map_shards(lambda x: state["base"] + x, [(1,), (2,)])
-            assert out == [11, 12]
-            assert ex.report()["inline_fallbacks"] == 1
         finally:
             ex.close()
 
@@ -146,12 +137,11 @@ class TestExecutorBasics:
             outer.close()
             inner.close()
 
-    def test_serial_latency_model_flagged_not_inline(self):
+    def test_only_serial_is_inline(self):
         assert SerialExecutor().inline
-        assert not SerialExecutor(latency_ms=0.5).inline
-        assert SerialExecutor(latency_ms=0.5).report()["latency_ms"] == 0.5
-        with pytest.raises(ValueError):
-            SerialExecutor(latency_ms=-1.0)
+        thread = ThreadShardExecutor(workers=2)
+        assert not thread.inline
+        thread.close()
 
 
 class TestScatterGatherEquality:
@@ -230,7 +220,7 @@ class TestParallelRecovery:
     def test_recovery_identical_across_backends(self, tmp_path, shards, backend):
         self._write_corpus(tmp_path, shards)
         reference = self._digest(
-            ShardedJournal.recover(str(tmp_path), ShardMap(shards), executor=None)
+            ShardedJournal.recover(str(tmp_path), ShardMap(shards), executor=None, reopen=False)
         )
         ex = make_executor(backend, workers=3)
         try:
@@ -238,7 +228,7 @@ class TestParallelRecovery:
                 str(tmp_path), ShardMap(shards), executor=ex
             )
             assert self._digest(recovered) == reference
-            # The parent reopened the WAL: appends resume post-recovery.
+            # The WAL reopened: appends resume post-recovery.
             recovered.append(
                 "host:10.2.0.0", 99.0, EventKind.SERVICE_FOUND,
                 {"key": "443/tcp", "record": {}},
@@ -247,9 +237,9 @@ class TestParallelRecovery:
         finally:
             ex.close()
 
-    def test_process_recovery_reattaches_fault_injector(self, tmp_path):
+    def test_thread_recovery_attaches_fault_injector(self, tmp_path):
         self._write_corpus(tmp_path, 2)
-        ex = ProcessShardExecutor(workers=2)
+        ex = ThreadShardExecutor(workers=2)
         sentinel = object()
         try:
             recovered = ShardedJournal.recover(
@@ -461,8 +451,10 @@ class TestThreadSafety:
             reference.put(doc_id, doc)
         assert query_digest(index) == query_digest(reference)
 
-    def test_concurrent_scatters_through_process_backend(self):
-        ex = ProcessShardExecutor(workers=2)
+    def test_concurrent_scatters_through_thread_backend(self):
+        """Client threads share one pool: scatters from several callers
+        interleave on the same workers and every answer stays exact."""
+        ex = ThreadShardExecutor(workers=2)
         index = build_index(4, ex, query_cache_entries=0)
         reference = query_digest(build_index(4, SerialExecutor()))
         errors = []

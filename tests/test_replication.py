@@ -343,3 +343,50 @@ class TestPlatformReplication:
         assert [s["epoch"] for s in report["shards"]] == [1, 1]
         reference.close()
         plat.close()
+
+    def test_fail_over_keeps_the_group_commit_window(self, tmp_path):
+        """A promoted primary's WAL keeps the platform's commit window: both
+        the event and the byte bound survive ``fail_over``."""
+        plat = CensysPlatform(
+            _small_world(),
+            PlatformConfig(
+                predictive_daily_budget=300,
+                seed=6,
+                shards=2,
+                wal_dir=str(tmp_path / "wal"),
+                group_commit_events=16,
+                group_commit_bytes=65536,
+                replication_factor=1,
+            ),
+            start_time=-4.0 * DAY,
+        )
+        plat.run_until(-3.0 * DAY, tick_hours=6.0)
+
+        def windows():
+            return [
+                (j.wal.group_commit_events, j.wal.group_commit_bytes)
+                for j in plat.journal.journals
+            ]
+
+        assert windows() == [(16, 65536), (16, 65536)]
+        plat.replication.fail_over(0)
+        assert windows() == [(16, 65536), (16, 65536)]
+        plat.close()
+
+    def test_replicated_shard_fail_over_keeps_the_group_commit_window(self, tmp_path):
+        group = ReplicatedShard(
+            str(tmp_path / "shard"),
+            replication_factor=1,
+            snapshot_every=SNAPSHOT_EVERY,
+            group_commit_events=8,
+            group_commit_bytes=4096,
+        )
+        proc = WriteSideProcessor(group.primary, EventBus())
+        for item in WORKLOAD[:20]:
+            apply_item(proc, item)
+        group.primary.flush_commit_window()
+        group.pump(1)
+        group.kill_primary()
+        promoted = group.fail_over()
+        assert (promoted.wal.group_commit_events, promoted.wal.group_commit_bytes) == (8, 4096)
+        group.close()

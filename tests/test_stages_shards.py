@@ -326,7 +326,7 @@ class TestTrafficReportSchema:
             assert set(report["read_cache"][block]) == cache_keys, block
         # Satellite: the executor block (parallel shard execution tier).
         assert set(report["executor"]) == {
-            "kind", "workers", "latency_ms", "batches", "tasks", "inline_fallbacks",
+            "kind", "workers", "batches", "tasks", "inline_fallbacks",
         }
         assert report["executor"]["kind"] == "serial"
         # Satellite: the replication block (off by default — factor 0 must
